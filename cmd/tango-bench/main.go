@@ -1,7 +1,8 @@
 // Command tango-bench is the perf-regression harness's CLI face: it runs
 // the dataplane micro-benchmarks (encap, decap, link traversal), the
 // scheduler micro-benchmarks (timing wheel vs. the preserved binary-heap
-// reference, at 10k pending events), the flow-table micros (steady
+// reference, at 10k pending events, plus one coordinator epoch that
+// drains 256 cross-partition events), the flow-table micros (steady
 // emit and arrive/depart churn over a live population — see the flows
 // field in BENCH.json), and the TE micros (an incremental move
 // evaluation and a full Link-Guided Local Search convergence on a
@@ -172,6 +173,7 @@ func realMain() int {
 		{"SchedFire10kHeap", perf.BenchSchedFireHeap},
 		{"Cancel10k", perf.BenchCancel},
 		{"Cancel10kHeap", perf.BenchCancelHeap},
+		{"CrossDrain256", perf.BenchCrossDrain},
 		{"ObsCounter", perf.BenchObsCounter},
 		{"ObsHistogram", perf.BenchObsHistogram},
 		{"FlowEmit", perf.BenchFlowEmit},

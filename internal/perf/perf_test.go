@@ -34,6 +34,12 @@ func TestLinkTraverseZeroAlloc(t *testing.T) {
 func TestSchedFireZeroAlloc(t *testing.T) { assertZeroAlloc(t, "BenchSchedFire", BenchSchedFire) }
 func TestCancelZeroAlloc(t *testing.T)    { assertZeroAlloc(t, "BenchCancel", BenchCancel) }
 
+// A coordinator barrier stages, sorts and drains cross-partition events
+// every epoch, so it gets the same teeth: outboxes and the drain scratch
+// are reused, and the sort must not allocate a swapper or closure.
+
+func TestCrossDrainZeroAlloc(t *testing.T) { assertZeroAlloc(t, "BenchCrossDrain", BenchCrossDrain) }
+
 // The telemetry instruments ride the same fast path (every encap bumps
 // counters and observes a latency histogram), so they get the same
 // teeth: a registered instrument's hot ops must never allocate.
@@ -96,6 +102,7 @@ func BenchmarkSchedFire(b *testing.B)     { BenchSchedFire(b) }
 func BenchmarkSchedFireHeap(b *testing.B) { BenchSchedFireHeap(b) }
 func BenchmarkCancel(b *testing.B)        { BenchCancel(b) }
 func BenchmarkCancelHeap(b *testing.B)    { BenchCancelHeap(b) }
+func BenchmarkCrossDrain(b *testing.B)    { BenchCrossDrain(b) }
 func BenchmarkObsCounter(b *testing.B)    { BenchObsCounter(b) }
 func BenchmarkObsHistogram(b *testing.B)  { BenchObsHistogram(b) }
 func BenchmarkFlowEmit(b *testing.B)      { BenchFlowEmit(b) }

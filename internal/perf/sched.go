@@ -123,3 +123,54 @@ func BenchCancelHeap(b *testing.B) {
 	}
 	b.StopTimer()
 }
+
+// crossBatch is how many cross-partition events one BenchCrossDrain epoch
+// stages at the barrier.
+const crossBatch = 256
+
+// crossSink counts the cross-partition events delivered to it.
+type crossSink struct{ n int }
+
+func (s *crossSink) OnSimEvent(any) { s.n++ }
+
+// BenchCrossDrain measures one parallel epoch of a 2-partition
+// coordinator: the source stages crossBatch cross-partition events one
+// lookahead ahead, the barrier sorts and drains them onto the destination,
+// and the destination fires the previous epoch's batch. The destination
+// holds a timer a day away the whole time, as transit partitions hold
+// far-off protocol timers. If the destination's Run let its wheel cursor
+// run ahead to that timer, every drained event would land behind the
+// cursor and be spliced into the due chain by a walk from its head,
+// making the epoch quadratic in crossBatch.
+func BenchCrossDrain(b *testing.B) {
+	const la = time.Millisecond
+	c := sim.NewCoordinator(2, la)
+	src, dst := c.Part(0), c.Part(1)
+	sink := &crossSink{}
+	dst.Schedule(24*time.Hour, func() {})
+	var tick func()
+	tick = func() {
+		at := src.Now() + la
+		for i := 0; i < crossBatch; i++ {
+			sim.CrossScheduleAt(src, dst, at+time.Duration(i)*(la/crossBatch), sink, nil)
+		}
+		src.Schedule(la, tick)
+	}
+	src.Schedule(la, tick)
+	c.EnterParallel()
+	for i := 0; i < warmupIters; i++ {
+		c.Run(c.Now() + la)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Run(c.Now() + la)
+	}
+	b.StopTimer()
+	// Epoch k fires the tick at k·la, whose batch spans [(k+1)·la,
+	// (k+2)·la): after n epochs every batch but the last two has fired,
+	// plus the first event of the second-to-last, which is due at n·la.
+	if n, want := sink.n, crossBatch*(warmupIters+b.N-2)+1; n != want {
+		b.Fatalf("destination fired %d cross events, want %d", n, want)
+	}
+}

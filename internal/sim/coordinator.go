@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -276,16 +277,7 @@ func (c *Coordinator) drain() {
 	if len(c.scratch) == 0 {
 		return
 	}
-	sort.Slice(c.scratch, func(i, j int) bool {
-		a, b := &c.scratch[i], &c.scratch[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(c.scratch, cmpCross)
 	for i := range c.scratch {
 		m := &c.scratch[i]
 		if p, ok := m.h.(CrossPrepper); ok {
@@ -300,6 +292,18 @@ func (c *Coordinator) drain() {
 		m.h, m.arg = nil, nil
 	}
 	c.Stats.CrossMsg += uint64(len(c.scratch))
+}
+
+// cmpCross orders barrier messages by (time, source partition, per-source
+// sequence); the last two are unique per message, so the order is total.
+func cmpCross(a, b crossMsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 func (c *Coordinator) fireHooks(now Time) {

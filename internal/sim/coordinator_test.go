@@ -250,3 +250,62 @@ func TestLookaheadViolationPanics(t *testing.T) {
 	c.EnterParallel()
 	mustPanic(t, "lookahead violation", func() { c.Run(Time(20 * time.Millisecond)) })
 }
+
+// timeLog records the instant of every event it receives.
+type timeLog struct {
+	eng *Engine
+	at  []Time
+}
+
+func (l *timeLog) OnSimEvent(any) { l.at = append(l.at, l.eng.Now()) }
+
+// drainBehindFarTimer runs a 2-partition parallel coordinator whose
+// destination partition holds a far-off timer, while the source
+// cross-schedules a burst of ascending events one lookahead ahead at every
+// epoch, and returns the destination's fire instants and due-chain splices.
+func drainBehindFarTimer(workers, epochs, burst int) ([]Time, uint64) {
+	const la = time.Millisecond
+	c := NewCoordinator(2, la)
+	c.SetWorkers(workers)
+	src, dst := c.Part(0), c.Part(1)
+	sink := &timeLog{eng: dst}
+	dst.ScheduleAt(Time(10*time.Second), func() { panic("far timer fired") })
+	sent := 0
+	var tick func()
+	tick = func() {
+		at := src.Now() + la
+		for i := 0; i < burst; i++ {
+			CrossScheduleAt(src, dst, at+Time(i)*(la/Time(burst)), sink, nil)
+		}
+		if sent++; sent < epochs {
+			src.Schedule(la, tick)
+		}
+	}
+	src.ScheduleAt(0, tick)
+	c.EnterParallel()
+	c.Run(Time(epochs+1) * la)
+	return sink.at, dst.Stats.DueSplices
+}
+
+// Barrier-drained cross events land behind nothing: the destination's
+// Run(end) stops its cursor at the epoch end (inv-3), so a far timer does
+// not drag it ahead and every drained event files into a bucket in O(1).
+func TestCoordinatorDrainBehindFarTimer(t *testing.T) {
+	const epochs, burst = 200, 256
+	const la = time.Millisecond
+	var want []Time
+	for k := 0; k < epochs; k++ {
+		for i := 0; i < burst; i++ {
+			want = append(want, Time(k+1)*la+Time(i)*(la/burst))
+		}
+	}
+	for _, w := range []int{1, 2} {
+		got, splices := drainBehindFarTimer(w, epochs, burst)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: destination fired %d events, want %d in (time, seq) order", w, len(got), len(want))
+		}
+		if splices != 0 {
+			t.Fatalf("workers=%d: %d drained events were spliced mid due chain, want 0", w, splices)
+		}
+	}
+}

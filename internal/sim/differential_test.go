@@ -14,7 +14,10 @@ import (
 // pending counts at every checkpoint. Delays are drawn from a mix that
 // deliberately stresses every wheel path: same-instant bursts, sub-granule
 // jitter, level-crossing delays, multi-level jumps, and overflow-horizon
-// monsters (including delays that clamp to Forever).
+// monsters (including delays that clamp to Forever). Runs are followed by
+// drain-shaped bursts: ascending absolute schedules just past the new
+// clock, the way a coordinator barrier feeds a partition whose next local
+// event may be far away.
 
 type firing struct {
 	at  Time
@@ -27,12 +30,13 @@ type firing struct {
 // reuse event structs through a freelist), so cancelling it again is
 // outside the API contract.
 type diffDriver struct {
-	schedule func(d time.Duration, fn func()) int // returns creation index
-	cancel   func(idx int)
-	run      func(until Time)
-	now      func() Time
-	pending  func() int
-	nextAt   func() (Time, bool)
+	schedule   func(d time.Duration, fn func()) int // returns creation index
+	scheduleAt func(t Time, fn func()) int
+	cancel     func(idx int)
+	run        func(until Time)
+	now        func() Time
+	pending    func() int
+	nextAt     func() (Time, bool)
 }
 
 func engineDriver() *diffDriver {
@@ -44,6 +48,12 @@ func engineDriver() *diffDriver {
 		i := n
 		n++
 		handles[i] = e.Schedule(dd, fn)
+		return i
+	}
+	d.scheduleAt = func(t Time, fn func()) int {
+		i := n
+		n++
+		handles[i] = e.ScheduleAt(t, fn)
 		return i
 	}
 	d.cancel = func(idx int) {
@@ -66,6 +76,12 @@ func refDriver() *diffDriver {
 		i := n
 		n++
 		handles[i] = r.Schedule(dd, fn)
+		return i
+	}
+	d.scheduleAt = func(t Time, fn func()) int {
+		i := n
+		n++
+		handles[i] = r.ScheduleAt(t, fn)
 		return i
 	}
 	d.cancel = func(idx int) {
@@ -116,12 +132,16 @@ func runScript(seed int64, mk func() *diffDriver) (fires []firing, trace []int64
 		}
 	}
 
-	// sched schedules one event whose callback records its fire, drops
-	// itself from the live set, and, with probability, schedules a child.
-	var sched func(dd time.Duration)
-	sched = func(dd time.Duration) {
+	// track schedules one event through add; its callback records its
+	// fire, drops itself from the live set, and, with probability,
+	// schedules a child.
+	var track func(add func(fn func()) int)
+	sched := func(dd time.Duration) {
+		track(func(fn func()) int { return d.schedule(dd, fn) })
+	}
+	track = func(add func(fn func()) int) {
 		var self int
-		self = d.schedule(dd, func() {
+		self = add(func() {
 			rec = append(rec, firing{d.now(), self})
 			removeLive(self)
 			if rng.Intn(4) == 0 {
@@ -129,6 +149,16 @@ func runScript(seed int64, mk func() *diffDriver) (fires []firing, trace []int64
 			}
 		})
 		live = append(live, self)
+	}
+	// burst schedules 1..32 events at ascending absolute instants in
+	// [now, now+4ms), as a barrier drain would.
+	burst := func() {
+		at := d.now()
+		for n := 1 + rng.Intn(32); n > 0; n-- {
+			at += Time(rng.Int63n(int64(4*time.Millisecond) / 32))
+			t := at
+			track(func(fn func()) int { return d.scheduleAt(t, fn) })
+		}
 	}
 
 	ops := 300
@@ -145,8 +175,14 @@ func runScript(seed int64, mk func() *diffDriver) (fires []firing, trace []int64
 			}
 		case p < 95:
 			d.run(d.now() + Time(rng.Int63n(int64(500*time.Millisecond))))
+			if rng.Intn(2) == 0 {
+				burst()
+			}
 		default:
 			d.run(d.now() + Time(rng.Int63n(int64(48*time.Hour))))
+			if rng.Intn(2) == 0 {
+				burst()
+			}
 		}
 		at, ok := d.nextAt()
 		okBit := int64(0)

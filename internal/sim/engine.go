@@ -97,6 +97,9 @@ type Engine struct {
 		Fired     uint64
 		Cancelled uint64
 		Swept     uint64 // tombstones reclaimed (deferred sweeps and bucket expiry)
+		// DueSplices counts schedules spliced into the middle of the
+		// sorted due chain — the slow path that walks it from the head.
+		DueSplices uint64
 	}
 }
 
@@ -203,7 +206,7 @@ func (e *Engine) push(t Time) *Event {
 	ev.seq = e.seq
 	ev.state = statePending
 	e.seq++
-	e.w.place(ev)
+	e.w.place(e, ev)
 	e.nlive++
 	e.Stats.Scheduled++
 	return ev
@@ -337,8 +340,10 @@ func (e *Engine) sortIntoDue(chain *Event) {
 
 // peek returns the earliest pending event without firing it, advancing
 // the wheel cursor (but never the clock) as needed. Tombstones surfacing
-// at the due-chain head are reclaimed on the way.
-func (e *Engine) peek() *Event {
+// at the due-chain head are reclaimed on the way. The cursor stops short
+// of any bucket starting after granule limit (inv-3), so peek may return
+// nil while later events are pending; the caller has no use for them.
+func (e *Engine) peek(limit int64) *Event {
 	for {
 		for ev := e.w.due; ev != nil; ev = e.w.due {
 			if ev.state >= 0 {
@@ -347,7 +352,7 @@ func (e *Engine) peek() *Event {
 			e.w.popDue()
 			e.reclaim(ev)
 		}
-		if !e.w.refill(e) {
+		if !e.w.refill(e, limit) {
 			return nil
 		}
 	}
@@ -356,7 +361,7 @@ func (e *Engine) peek() *Event {
 // Step fires the single earliest pending event, advancing the clock to its
 // instant. It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	ev := e.peek()
+	ev := e.peek(unbounded)
 	if ev == nil {
 		return false
 	}
@@ -390,8 +395,9 @@ func (e *Engine) Run(until Time) (fired int) {
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
+	limit := granule(until)
 	for !e.stopped {
-		ev := e.peek()
+		ev := e.peek(limit)
 		if ev == nil || ev.at > until {
 			break
 		}
@@ -419,7 +425,7 @@ func (e *Engine) Pending() int { return e.nlive }
 // NextAt returns the virtual time of the earliest pending event, or
 // (Forever, false) if the queue is empty.
 func (e *Engine) NextAt() (Time, bool) {
-	ev := e.peek()
+	ev := e.peek(unbounded)
 	if ev == nil {
 		return Forever, false
 	}

@@ -40,7 +40,22 @@ import "math/bits"
 //	       whose events may be due anywhere inside it) is cascaded down,
 //	       and the cursor only jumps to the earliest occupied slot of the
 //	       lowest non-empty level, which always precedes every slot of
-//	       the levels above it.
+//	       the levels above it;
+//	inv-3  the cursor never moves onto a bucket that starts after the
+//	       granule limit refill is given; Run(until) passes
+//	       granule(until), so unless the cursor was already further, a
+//	       Run(until) leaves base ≤ granule(until)+1 and a later schedule
+//	       past until's granule files into a bucket in O(1) instead of
+//	       being spliced into the due chain by a walk from its head. A
+//	       coordinator barrier depends on this: every event it drains is
+//	       at or after the epoch end, and an unbounded peek at the end of
+//	       Run would park the cursor on the partition's next local event,
+//	       often a far-off timer, with every drained event behind it.
+//	       Step and NextAt stay unbounded, and so does the coupled
+//	       interleave, which asks every partition for NextAt once per
+//	       fire: bounding those peeks by the epoch end would make each
+//	       partition whose next event lies beyond it re-scan its wheel
+//	       levels on every call, costing more than the splices it saves.
 //
 // Same-instant FIFO comes out of the (at, seq) sort: seq is assigned in
 // scheduling order and tie-breaks equal timestamps exactly as the old
@@ -79,6 +94,10 @@ type wheel struct {
 
 func granule(t Time) int64 { return int64(t) >> granBits }
 
+// unbounded is the refill limit that lets the cursor reach any bucket:
+// no event's granule exceeds granule(Forever).
+const unbounded = int64(Forever) >> granBits
+
 func eventLess(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -88,10 +107,10 @@ func eventLess(a, b *Event) bool {
 
 // place files ev into the due chain, a bucket, or the overflow chain,
 // according to where its granule falls relative to the cursor.
-func (w *wheel) place(ev *Event) {
+func (w *wheel) place(e *Engine, ev *Event) {
 	u := granule(ev.at)
 	if u < w.base {
-		w.insertDue(ev)
+		w.insertDue(e, ev)
 		return
 	}
 	x := uint64(u ^ w.base)
@@ -118,8 +137,9 @@ func (w *wheel) place(ev *Event) {
 // position. Events scheduled for the current instant carry the largest
 // seq so far, so the overwhelmingly common case is an O(1) tail append;
 // mid-chain positions (an event scheduled into an earlier granule than
-// the chain's tail) take a walk from the head.
-func (w *wheel) insertDue(ev *Event) {
+// the chain's tail) take a walk from the head and are counted in
+// Stats.DueSplices.
+func (w *wheel) insertDue(e *Engine, ev *Event) {
 	tail := w.dueTail
 	if tail == nil {
 		ev.next = nil
@@ -137,6 +157,7 @@ func (w *wheel) insertDue(ev *Event) {
 		w.due = ev
 		return
 	}
+	e.Stats.DueSplices++
 	p := w.due
 	for p.next != nil && eventLess(p.next, ev) {
 		p = p.next
@@ -174,10 +195,11 @@ func (w *wheel) take(l, s int) *Event {
 // refill advances the cursor to the next occupied bucket, cascading
 // higher levels as regions are entered, and loads that bucket — sorted,
 // tombstones dropped — into the due chain. It reports whether any live
-// event became due. It never touches the clock: calling it early (NextAt
-// peeking ahead) only moves events between buckets, which cannot change
-// the (at, seq) fire order.
-func (w *wheel) refill(e *Engine) bool {
+// event became due. It reports false without moving the cursor if the
+// next occupied bucket starts after granule limit (inv-3). It never
+// touches the clock: calling it early (NextAt peeking ahead) only moves
+// events between buckets, which cannot change the (at, seq) fire order.
+func (w *wheel) refill(e *Engine, limit int64) bool {
 	if e.nlive+e.ntomb == 0 {
 		return false
 	}
@@ -202,6 +224,9 @@ func (w *wheel) refill(e *Engine) bool {
 		if m := w.level[0].occupied &^ (1<<uint(w.base&slotMask) - 1); m != 0 {
 			k := int64(bits.TrailingZeros64(m))
 			u := w.base&^slotMask | k
+			if u > limit {
+				return false
+			}
 			chain := w.take(0, int(k))
 			w.base = u + 1
 			e.sortIntoDue(chain)
@@ -225,7 +250,11 @@ func (w *wheel) refill(e *Engine) bool {
 			}
 			k := int64(bits.TrailingZeros64(m))
 			span := int64(1) << (shift + levelBits)
-			w.base = w.base&^(span-1) | k<<shift
+			start := w.base&^(span-1) | k<<shift
+			if start > limit {
+				return false
+			}
+			w.base = start
 			w.drain(e, l, int(k))
 			jumped = true
 			break
@@ -236,6 +265,9 @@ func (w *wheel) refill(e *Engine) bool {
 		// Wheel exhausted: rebase onto the overflow chain if it holds
 		// anything (Forever timers, multi-year delays).
 		if w.overflow != nil {
+			if w.overflowMin > limit {
+				return false
+			}
 			w.rebase(e)
 			continue
 		}
@@ -255,7 +287,7 @@ func (w *wheel) drain(e *Engine, l, s int) {
 			e.reclaim(ev)
 			continue
 		}
-		w.place(ev)
+		w.place(e, ev)
 	}
 }
 
@@ -275,7 +307,7 @@ func (w *wheel) rebase(e *Engine) {
 			e.reclaim(ev)
 			continue
 		}
-		w.place(ev)
+		w.place(e, ev)
 	}
 }
 

@@ -299,3 +299,32 @@ func TestWheelSameGranuleFIFOWithCancels(t *testing.T) {
 		want++
 	}
 }
+
+// inv-3: Run(until) must not leave the cursor on a far timer beyond
+// until. If it did, every later schedule in [until, far) would land behind
+// the cursor and an ascending burst would be spliced into the due chain by
+// a walk from its head — quadratic in the burst size.
+func TestRunKeepsCursorWithinHorizon(t *testing.T) {
+	e := NewEngine()
+	far := Time(10 * time.Second)
+	var got []Time
+	e.ScheduleAt(far, func() { got = append(got, far) })
+	until := Time(time.Millisecond) + 123
+	e.Run(until)
+	if e.w.base > granule(until)+1 {
+		t.Fatalf("Run(%v) left the cursor at granule %d, past granule(until)+1 = %d",
+			until, e.w.base, granule(until)+1)
+	}
+	var want []Time
+	for i := 0; i < 1000; i++ {
+		at := until + Time(i)*7*time.Microsecond
+		want = append(want, at)
+		e.ScheduleAt(at, func() { got = append(got, at) })
+	}
+	want = append(want, far)
+	e.RunAll()
+	wantOrder(t, got, want)
+	if e.Stats.DueSplices != 0 {
+		t.Fatalf("%d schedules were spliced mid due chain, want 0", e.Stats.DueSplices)
+	}
+}
