@@ -1,15 +1,16 @@
 // Command tango-bench is the perf-regression harness's CLI face: it runs
-// the dataplane micro-benchmarks (encap, decap, link traversal), the
-// scheduler micro-benchmarks (timing wheel vs. the preserved binary-heap
-// reference, at 10k pending events, plus one coordinator epoch that
-// drains 256 cross-partition events), the flow-table micros (steady
-// emit and arrive/depart churn over a live population — see the flows
-// field in BENCH.json), and the TE micros (an incremental move
-// evaluation and a full Link-Guided Local Search convergence on a
-// mesh-shaped placement instance) through testing.Benchmark, optionally
-// times the full E2/E10 experiment reproductions and the whole suite
-// serial-vs-parallel, and emits the results as machine-readable JSON for
-// CI to archive and diff across commits.
+// the dataplane micro-benchmarks (encap, decap, the 1 KiB UDP checksum,
+// link traversal), the scheduler micro-benchmarks (timing wheel vs. the
+// preserved binary-heap reference, at 10k pending events, plus one
+// coordinator epoch that drains 256 cross-partition events), the
+// flow-table micros (steady emit and arrive/depart churn over a live
+// population — see the flows field in BENCH.json), and the TE micros
+// (an incremental move evaluation and a full Link-Guided Local Search
+// convergence on a mesh-shaped placement instance) through
+// testing.Benchmark, optionally times the full E2/E10 experiment
+// reproductions and the whole suite serial-vs-parallel, and emits the
+// results as machine-readable JSON for CI to archive and diff across
+// commits.
 //
 // Usage:
 //
@@ -30,15 +31,18 @@
 // -e14 runs a reduced E14 discovery sweep (a generated internet swept
 // by concurrent discoverers, scored against valley-free ground truth)
 // and, with -check, fails if any of its checks fail. Every report
-// records GOMAXPROCS so numbers stay comparable across machines and
-// shard counts.
+// carries a machine fingerprint (CPU model, CPU count, GOMAXPROCS, Go
+// version) so numbers are never compared across machines by mistake.
 //
 // -history appends this run (git SHA, timestamp, full report) to a JSON
 // log so numbers accumulate across commits; pass -history ” to skip.
 // -compare FILE diffs the run against a baseline report and exits
 // non-zero on a >tolerance ns/op regression, any allocs/op increase, or
 // a >2×tolerance experiment wall-clock regression (wall clocks are
-// noisier than micros, so they get the wider band).
+// noisier than micros, so they get the wider band). It also exits
+// non-zero, before comparing anything, when both reports carry
+// fingerprints and they differ; a baseline without one is compared
+// with a warning.
 package main
 
 import (
@@ -111,10 +115,13 @@ type LoopbackResult struct {
 	WindowMs    float64 `json:"window_ms"`
 }
 
-// Report is the BENCH.json schema. GOMAXPROCS, Shards, and Flows are
-// recorded so perf history stays comparable across machines, shard
-// counts, and flow-table populations.
+// Report is the BENCH.json schema. CPUModel, NumCPU, GOMAXPROCS and
+// GoVersion fingerprint the machine (see fingerprint); Shards and Flows
+// are recorded so perf history stays comparable across shard counts and
+// flow-table populations.
 type Report struct {
+	CPUModel   string `json:"cpu_model,omitempty"`
+	NumCPU     int    `json:"num_cpu,omitempty"`
 	GoVersion  string `json:"go_version,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	Shards     int    `json:"shards,omitempty"`
@@ -168,6 +175,7 @@ func realMain() int {
 	}{
 		{"Encap", perf.BenchEncap},
 		{"Decap", perf.BenchDecap},
+		{"Checksum1KiB", perf.BenchChecksum},
 		{"LinkTraverse", perf.BenchLinkTraverse},
 		{"SchedFire10k", perf.BenchSchedFire},
 		{"SchedFire10kHeap", perf.BenchSchedFireHeap},
@@ -182,7 +190,15 @@ func realMain() int {
 		{"SolverConverge", perf.BenchSolverConverge},
 	}
 
-	rep := Report{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), Shards: *shards, Flows: perf.FlowBenchFlows}
+	rep := Report{
+		CPUModel:   cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Shards:     *shards,
+		Flows:      perf.FlowBenchFlows,
+	}
+	fmt.Printf("machine %s\n", rep.fingerprint())
 	regressed := false
 	for _, m := range micro {
 		res := testing.Benchmark(m.fn)
@@ -505,10 +521,37 @@ func appendHistory(path string, rep Report) error {
 	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }
 
+// cpuModel reads the CPU model name from /proc/cpuinfo; "unknown" where
+// that file does not exist or names none.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
+// fingerprint names the machine a report was measured on; "" for a
+// report written before reports carried one.
+func (r Report) fingerprint() string {
+	if r.CPUModel == "" {
+		return ""
+	}
+	return fmt.Sprintf("cpu=%q nproc=%d gomaxprocs=%d go=%s", r.CPUModel, r.NumCPU, r.GOMAXPROCS, r.GoVersion)
+}
+
 // compareAgainst diffs cur against the baseline report in path. Micros
 // regress on ns/op beyond tolerance or any allocs/op increase;
 // experiment wall clocks get twice the tolerance (they are noisier).
 // Entries missing from the baseline are new and pass by definition.
+// Reports from different machines are not comparable, so differing
+// fingerprints are an error; a baseline without one (written before
+// reports carried it) is compared with a warning.
 func compareAgainst(path string, cur Report, tolerance float64) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -517,6 +560,12 @@ func compareAgainst(path string, cur Report, tolerance float64) ([]string, error
 	var base Report
 	if err := json.Unmarshal(data, &base); err != nil {
 		return nil, err
+	}
+	switch bf, cf := base.fingerprint(), cur.fingerprint(); {
+	case bf == "":
+		fmt.Fprintf(os.Stderr, "warning: baseline %s has no machine fingerprint; comparing anyway\n", path)
+	case cf != "" && bf != cf:
+		return nil, fmt.Errorf("machine fingerprints differ, so the numbers are not comparable:\n  baseline: %s\n  this run: %s", bf, cf)
 	}
 	var violations []string
 	for _, c := range cur.Micro {

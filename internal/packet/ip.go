@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -182,18 +183,44 @@ func layerForProto(proto uint8) LayerType {
 }
 
 // checksum computes the Internet checksum (RFC 1071) over data with an
-// initial partial sum.
-func checksum(data []byte, initial uint32) uint16 {
-	sum := initial
-	n := len(data) &^ 1
-	for i := 0; i < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
+// initial partial sum. It adds the data as big-endian 64-bit words with
+// end-around carry (RFC 1071 §2(B)–(C): the one's-complement sum of
+// 16-bit words is byte-order and word-width independent, because
+// 2^16 ≡ 1 modulo 0xffff), then folds 64→32→16 bits. The carry chain
+// runs through every add and closes only at the end, so it is exact
+// modulo 2^64-1, and the folded sum is zero only when data and initial
+// are all zero — the same value, for every input, as adding one 16-bit
+// word at a time.
+func checksum(data []byte, initial uint64) uint16 {
+	s, c := initial, uint64(0)
+	for ; len(data) >= 32; data = data[32:] {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data[0:8]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data[8:16]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data[16:24]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data[24:32]), c)
 	}
-	if len(data)&1 != 0 {
-		sum += uint32(data[len(data)-1]) << 8
+	for ; len(data) >= 8; data = data[8:] {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data), c)
 	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
+	if len(data) >= 4 {
+		s, c = bits.Add64(s, uint64(binary.BigEndian.Uint32(data)), c)
+		data = data[4:]
 	}
-	return ^uint16(sum)
+	if len(data) >= 2 {
+		s, c = bits.Add64(s, uint64(binary.BigEndian.Uint16(data)), c)
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		s, c = bits.Add64(s, uint64(data[0])<<8, c)
+	}
+	// Close the chain. s+c cannot wrap: Add64 returns an all-ones s with
+	// a carry out only from two all-ones addends and a carry in, that is
+	// only if the previous add ended the same way, and the first add had
+	// no carry in.
+	s += c
+	s = s>>32 + s&0xffffffff
+	s = s>>32 + s&0xffffffff
+	s = s>>16 + s&0xffff
+	s = s>>16 + s&0xffff
+	return ^uint16(s)
 }

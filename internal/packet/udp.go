@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -93,7 +94,9 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 
 // VerifyChecksum checks the decoded datagram's checksum against the
 // pseudo-header built from src/dst. A zero checksum passes for IPv4
-// (checksum disabled) and fails for IPv6.
+// (checksum disabled) and fails for IPv6. The sum covers the length the
+// UDP header declares, as a receiving stack checks it: bytes that pad
+// the IP payload past the datagram are not part of it.
 func (u *UDP) VerifyChecksum(src, dst netip.Addr, datagram []byte) error {
 	if u.Checksum == 0 {
 		if src.Is6() && !src.Is4In6() {
@@ -101,7 +104,11 @@ func (u *UDP) VerifyChecksum(src, dst netip.Addr, datagram []byte) error {
 		}
 		return nil
 	}
-	if udpChecksumRaw(src, dst, datagram) != 0 {
+	length := udpHeaderLen + len(u.payload) // as DecodeFromBytes read it
+	if len(datagram) < length {
+		return fmt.Errorf("udp: %w: length %d have %d", errTruncated, length, len(datagram))
+	}
+	if udpChecksumRaw(src, dst, datagram[:length]) != 0 {
 		return errors.New("udp: checksum mismatch")
 	}
 	return nil
@@ -127,23 +134,20 @@ func udpChecksum(src, dst netip.Addr, datagram []byte) uint16 {
 // udpChecksumRaw computes the checksum over pseudo-header + datagram as-is
 // (used for verification: a valid datagram sums to zero).
 func udpChecksumRaw(src, dst netip.Addr, datagram []byte) uint16 {
-	var sum uint32
-	addAddr := func(a netip.Addr) {
-		if a.Is4() {
-			b := a.As4()
-			sum += uint32(binary.BigEndian.Uint16(b[0:2]))
-			sum += uint32(binary.BigEndian.Uint16(b[2:4]))
-		} else {
-			b := a.As16()
-			for i := 0; i < 16; i += 2 {
-				sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-			}
-		}
+	s, c := addAddr(0, 0, src)
+	s, c = addAddr(s, c, dst)
+	s, c = bits.Add64(s, ProtoUDP+uint64(len(datagram)), c)
+	return checksum(datagram, s+c) // s+c cannot wrap, as in checksum
+}
+
+// addAddr adds a pseudo-header address to the carry chain (s, c): one
+// 32-bit word for IPv4, two 64-bit words for IPv6.
+func addAddr(s, c uint64, a netip.Addr) (uint64, uint64) {
+	if a.Is4() {
+		b := a.As4()
+		return bits.Add64(s, uint64(binary.BigEndian.Uint32(b[:])), c)
 	}
-	addAddr(src)
-	addAddr(dst)
-	sum += uint32(ProtoUDP)
-	sum += uint32(len(datagram))
-	// checksum() folds and complements; feed it the partial sum.
-	return checksum(datagram, sum)
+	b := a.As16()
+	s, c = bits.Add64(s, binary.BigEndian.Uint64(b[0:8]), c)
+	return bits.Add64(s, binary.BigEndian.Uint64(b[8:16]), c)
 }

@@ -1,10 +1,10 @@
 // Package perf is the perf-regression harness for the packet fast path.
-// It exposes the three dataplane micro-benchmarks — encap, decap, and
-// link traversal — as plain functions over *testing.B so the same bodies
-// back the `go test -bench` wrappers (bench_test.go), the hard
-// zero-allocation assertions (perf_test.go), and the BENCH.json emitter
-// (cmd/tango-bench), which runs them through testing.Benchmark outside
-// a test binary.
+// It exposes the dataplane micro-benchmarks — encap, decap, the UDP
+// checksum both of them compute, and link traversal — as plain
+// functions over *testing.B so the same bodies back the `go test -bench`
+// wrappers (bench_test.go), the hard zero-allocation assertions
+// (perf_test.go), and the BENCH.json emitter (cmd/tango-bench), which
+// runs them through testing.Benchmark outside a test binary.
 //
 // Each body warms the buffer/event freelists before ResetTimer so the
 // measured region is the steady state the pools are designed for: after
@@ -139,6 +139,29 @@ func BenchDecap(b *testing.B) {
 	b.StopTimer()
 	if measured != b.N+warmupIters {
 		b.Fatalf("measured %d of %d", measured, b.N+warmupIters)
+	}
+}
+
+// BenchChecksum measures the UDP checksum the sender computes and the
+// receiver verifies on every packet: the IPv6 pseudo-header plus a
+// 1 KiB datagram.
+func BenchChecksum(b *testing.B) {
+	src, dst := mustAddr("2001:db8:1::1"), mustAddr("2001:db8:2::1")
+	datagram := make([]byte, payloadSize)
+	for i := range datagram {
+		datagram[i] = byte(i * 7)
+	}
+	want := packet.UDPChecksumFor(src, dst, datagram)
+	var got uint16
+	b.ReportAllocs()
+	b.SetBytes(int64(len(datagram)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got = packet.UDPChecksumFor(src, dst, datagram)
+	}
+	b.StopTimer()
+	if got != want {
+		b.Fatalf("checksum %#04x, want %#04x", got, want)
 	}
 }
 

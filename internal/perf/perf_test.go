@@ -22,6 +22,9 @@ func assertZeroAlloc(t *testing.T, name string, fn func(*testing.B)) {
 
 func TestEncapZeroAlloc(t *testing.T) { assertZeroAlloc(t, "BenchEncap", BenchEncap) }
 func TestDecapZeroAlloc(t *testing.T) { assertZeroAlloc(t, "BenchDecap", BenchDecap) }
+func TestChecksumZeroAlloc(t *testing.T) {
+	assertZeroAlloc(t, "BenchChecksum", BenchChecksum)
+}
 func TestLinkTraverseZeroAlloc(t *testing.T) {
 	assertZeroAlloc(t, "BenchLinkTraverse", BenchLinkTraverse)
 }
@@ -97,6 +100,7 @@ func TestFlowMemoryPerFlow10x(t *testing.T) {
 
 func BenchmarkEncap(b *testing.B)         { BenchEncap(b) }
 func BenchmarkDecap(b *testing.B)         { BenchDecap(b) }
+func BenchmarkChecksum(b *testing.B)      { BenchChecksum(b) }
 func BenchmarkLinkTraverse(b *testing.B)  { BenchLinkTraverse(b) }
 func BenchmarkSchedFire(b *testing.B)     { BenchSchedFire(b) }
 func BenchmarkSchedFireHeap(b *testing.B) { BenchSchedFireHeap(b) }

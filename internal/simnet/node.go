@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"time"
@@ -266,34 +267,20 @@ func decHopLimit(data []byte) {
 	case 6:
 		data[7]--
 	case 4:
+		// Update the header checksum incrementally, as a router does
+		// (RFC 1624 Eqn. 3: HC' = ~(~HC + ~m + m')), so receivers that
+		// verify it keep working. m is the 16-bit word TTL|protocol and
+		// ~m + m' is 0xfeff, so one fold suffices, the sum stays in
+		// [1, 0xffff], and the result equals a full recompute whichever
+		// of 0x0000 and 0xffff the incoming header carried for a zero
+		// checksum.
+		m := binary.BigEndian.Uint16(data[8:10])
 		data[8]--
-		// A real router would also update the header checksum
-		// incrementally (RFC 1624); do the same so receivers that
-		// verify checksums keep working.
-		fixIPv4Checksum(data)
-	}
-}
-
-func fixIPv4Checksum(data []byte) {
-	ihl := int(data[0]&0x0f) * 4
-	if len(data) < ihl {
-		return
-	}
-	data[10], data[11] = 0, 0
-	c := ipv4HeaderChecksum(data[:ihl])
-	data[10] = byte(c >> 8)
-	data[11] = byte(c)
-}
-
-func ipv4HeaderChecksum(hdr []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(hdr); i += 2 {
-		sum += uint32(hdr[i])<<8 | uint32(hdr[i+1])
-	}
-	for sum > 0xffff {
+		hc := binary.BigEndian.Uint16(data[10:12])
+		sum := uint32(^hc) + uint32(^m) + uint32(binary.BigEndian.Uint16(data[8:10]))
 		sum = sum&0xffff + sum>>16
+		binary.BigEndian.PutUint16(data[10:12], ^uint16(sum))
 	}
-	return ^uint16(sum)
 }
 
 // flowHash hashes the packet's 5-tuple-ish bytes (IP src/dst + first 4
